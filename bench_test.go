@@ -95,7 +95,7 @@ func BenchmarkOrientScaling(b *testing.B) {
 		pts := benchPoints(n)
 		b.Run(fmt.Sprintf("t3p1/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, res := core.OrientTwoAntennae(pts, math.Pi); len(res.Violations) > 0 {
+				if _, res := core.OrientTwoAntennae(mst.Euclidean(pts), math.Pi); len(res.Violations) > 0 {
 					b.Fatal("violations")
 				}
 			}
@@ -142,9 +142,9 @@ func BenchmarkDelaunayScaling(b *testing.B) {
 }
 
 // BenchmarkSolveScaling measures the full verified solve — plan-free
-// engine path: orient at the representative cover budget, then the
-// independent verifier, with the EMST bottleneck prefetched concurrently
-// — across decades up to n=10⁶. Near-linear growth per decade here is
+// engine path: one EMST build, orient on it at the representative cover
+// budget, then the independent verifier handed that tree's bottleneck —
+// across decades up to n=10⁶. Near-linear growth per decade here is
 // the acceptance bar for the single-solve path at scale (gated in CI by
 // benchjson -check-scaling).
 func BenchmarkSolveScaling(b *testing.B) {
@@ -218,7 +218,7 @@ func BenchmarkAblationCover(b *testing.B) {
 	b.Run("optimal", func(b *testing.B) {
 		var spread float64
 		for i := 0; i < b.N; i++ {
-			_, res := core.OrientFullCover(pts, 2, 2*math.Pi, false)
+			_, res := core.OrientFullCover(mst.Euclidean(pts), 2, 2*math.Pi, false)
 			spread = res.SpreadUsed
 		}
 		b.ReportMetric(spread, "max-spread")
@@ -226,7 +226,7 @@ func BenchmarkAblationCover(b *testing.B) {
 	b.Run("literal", func(b *testing.B) {
 		var spread float64
 		for i := 0; i < b.N; i++ {
-			_, res := core.OrientFullCover(pts, 2, 2*math.Pi, true)
+			_, res := core.OrientFullCover(mst.Euclidean(pts), 2, 2*math.Pi, true)
 			spread = res.SpreadUsed
 		}
 		b.ReportMetric(spread, "max-spread")
@@ -371,7 +371,7 @@ func BenchmarkEngineStoreHit(b *testing.B) {
 }
 
 // BenchmarkEngineSolveMiss measures the full engine path on a cache
-// miss: digest, plan, orient through OrientBatch, verify, cache fill.
+// miss: digest, plan, EMST, orient, verify, cache fill.
 func BenchmarkEngineSolveMiss(b *testing.B) {
 	pts := benchPoints(2000)
 	b.ResetTimer()

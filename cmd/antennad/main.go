@@ -1,6 +1,6 @@
 // Command antennad is the long-running orientation service: the same
 // plan→solution engine the CLI tools use, behind an HTTP/JSON API.
-// Concurrent /orient requests are coalesced through the core.OrientBatch
+// Concurrent /orient requests are coalesced into one orientation
 // worker pool, identical in-flight requests share one solve
 // (single-flight), and artifacts are served from two content-addressed
 // tiers — a byte-charged in-memory LRU and an optional durable disk
@@ -102,7 +102,7 @@ func main() {
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "in-memory cache byte budget; 0 = default (128 MiB)")
 	storeDir := flag.String("store", "", "directory for the durable artifact store; empty disables the disk tier")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "disk store byte cap; 0 = default (256 MiB)")
-	workers := flag.Int("workers", 0, "OrientBatch pool size; 0 = GOMAXPROCS")
+	workers := flag.Int("workers", 0, "orientation pool size; 0 = GOMAXPROCS")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a lone request waits for batch companions; 0 disables coalescing")
 	maxBatch := flag.Int("max-batch", 64, "max requests per coalesced batch")
 	deadline := flag.Duration("deadline", 0, "per-request solve deadline (503 when exceeded); 0 disables")

@@ -373,10 +373,10 @@ func main() {
 			},
 		})
 	}
-	// Full verified solves across decades up to n=10⁶: orient at the
-	// representative cover budget plus the independent verifier, with the
-	// EMST bottleneck prefetched concurrently — the single-solve scaling
-	// trajectory the -check-scaling gate audits.
+	// Full verified solves across decades up to n=10⁶: one EMST build,
+	// orient on it at the representative cover budget, then the
+	// independent verifier handed that tree's bottleneck — the
+	// single-solve scaling trajectory the -check-scaling gate audits.
 	for _, n := range []int{10000, 100000, 1000000} {
 		n := n
 		benches = append(benches, bench{

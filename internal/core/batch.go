@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/antenna"
 	"repro/internal/geom"
+	"repro/internal/mst"
 )
 
 // BatchItem is one orientation problem for OrientBatch: a point set, the
@@ -16,7 +17,11 @@ import (
 // orienter to run (empty selects the Table-1 dispatcher). Naming an
 // unregistered orienter yields an error in that item's BatchResult.
 type BatchItem struct {
-	Pts  []geom.Point
+	Pts []geom.Point
+	// Tree, when non-nil, is the caller's EMST of Pts (mst.Euclidean),
+	// which the orienter reads and never mutates; nil makes the worker
+	// build it.
+	Tree *mst.Tree
 	K    int
 	Phi  float64
 	Algo string
@@ -40,50 +45,41 @@ func OrientBatch(items []BatchItem, workers int) []BatchResult {
 	return OrientBatchCtx(context.Background(), items, workers)
 }
 
-// OrientBatchCtx is OrientBatch with cooperative cancellation: each
-// worker checks the context before starting an item, and items not yet
-// started when the deadline passes are marked with ctx.Err() instead of
-// oriented. An item already running is additionally interrupted at the
-// construction's own checkpoints when its orienter implements
-// ContextOrienter (the tour 2-opt repair loop polls every few moves);
-// constructions without checkpoints still run to completion once
-// started. This is how the service layer propagates HTTP deadlines into
-// the orientation pool.
+// OrientBatchCtx is OrientBatch with cooperative cancellation: items not
+// yet started when the context is done are marked with ctx.Err() instead
+// of oriented, and running items are oriented under ctx (see OrientItem).
 func OrientBatchCtx(ctx context.Context, items []BatchItem, workers int) []BatchResult {
 	out := make([]BatchResult, len(items))
-	if len(items) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
 	ParallelFor(len(items), workers, func(i int) {
-		it := items[i]
 		if err := ctx.Err(); err != nil {
 			out[i].Err = err
 			return
 		}
-		if it.Algo == "" || it.Algo == DefaultOrienterName {
-			out[i].Asg, out[i].Res, out[i].Err = OrientCtx(ctx, it.Pts, it.K, it.Phi)
-			return
-		}
-		o, ok := LookupOrienter(it.Algo)
-		if !ok {
-			out[i].Err = fmt.Errorf("core: unknown orienter %q", it.Algo)
-			return
-		}
-		// Constructions with internal cancellation checkpoints get the
-		// batch context; the rest run to completion once started.
-		if co, ok := o.(ContextOrienter); ok {
-			out[i].Asg, out[i].Res, out[i].Err = co.OrientCtx(ctx, it.Pts, it.K, it.Phi)
-			return
-		}
-		out[i].Asg, out[i].Res, out[i].Err = o.Orient(it.Pts, it.K, it.Phi)
+		out[i] = OrientItem(ctx, items[i])
 	})
 	return out
+}
+
+// OrientItem orients one item under ctx: the construction's own
+// checkpoints (the tour 2-opt repair loop polls every few moves) abandon
+// it with ctx.Err() once the context is done; constructions without
+// checkpoints run to completion. This is how the service layer
+// propagates each request's deadline into the orientation pool.
+func OrientItem(ctx context.Context, it BatchItem) BatchResult {
+	name := it.Algo
+	if name == "" {
+		name = DefaultOrienterName
+	}
+	o, ok := LookupOrienter(name)
+	if !ok {
+		return BatchResult{Err: fmt.Errorf("core: unknown orienter %q", it.Algo)}
+	}
+	tree := it.Tree
+	if tree == nil {
+		tree = mst.Euclidean(it.Pts)
+	}
+	asg, res, err := o.OrientTree(ctx, tree, it.K, it.Phi)
+	return BatchResult{Asg: asg, Res: res, Err: err}
 }
 
 // ParallelFor runs fn(i) for every i in [0, n) across a worker pool.

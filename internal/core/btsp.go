@@ -105,7 +105,7 @@ const twoOptCheckpointMask = 63
 // instead of burning the remaining moves to completion. This is how an
 // abandoned tour solve stops consuming its pool slot once the requester
 // is gone (the engine propagates HTTP deadlines here through
-// OrientBatchCtx and the ContextOrienter hook).
+// Orienter.OrientTree).
 func TwoOptBottleneckCtx(ctx context.Context, pts []geom.Point, tour []int, maxIters int) ([]int, error) {
 	n := len(tour)
 	out := append([]int(nil), tour...)
@@ -408,14 +408,14 @@ func hamCycleWithin(pts []geom.Point, d float64) ([]int, bool) {
 // induced digraph contains the directed cycle, hence is strongly
 // connected; the radius used is the tour bottleneck. This reproduces the
 // φ = 0 rows of Table 1 ([14]).
-func OrientTour(pts []geom.Point, tour []int, k int, phi float64) (*antenna.Assignment, *Result) {
+func OrientTour(tree *mst.Tree, tour []int, k int, phi float64) (*antenna.Assignment, *Result) {
+	pts := tree.Pts
 	res := newResult("btsp-tour", k, phi)
 	asg := antenna.New(pts)
 	if len(pts) <= 1 {
 		res.bump("trivial")
 		return asg, res
 	}
-	tree := mst.Euclidean(pts)
 	res.LMax = tree.LMax()
 	res.checkf(len(tour) == len(pts), "tour visits %d of %d sensors", len(tour), len(pts))
 	n := len(tour)
@@ -434,20 +434,15 @@ func OrientTour(pts []geom.Point, tour []int, k int, phi float64) (*antenna.Assi
 	return asg, res
 }
 
-// BestTour builds the orientation tour for the φ=0 rows: the 2-opt
-// repaired MST shortcut tour, falling back to the Sekanina cube tour if
-// that is better, and to the exact solver on tiny instances. Returns the
-// tour and its bottleneck.
-func BestTour(pts []geom.Point) ([]int, float64) {
-	tour, b, _ := BestTourCtx(context.Background(), pts)
-	return tour, b
-}
-
-// BestTourCtx is BestTour under a context: the 2-opt repair loop — the
-// dominant cost at large n — polls the context between moves, so an
-// expired request abandons the solve promptly with ctx.Err() instead of
-// finishing a tour nobody is waiting for.
-func BestTourCtx(ctx context.Context, pts []geom.Point) ([]int, float64, error) {
+// BestTour builds the orientation tour for the φ=0 rows from the EMST of
+// the point set (tree.Pts): the 2-opt repaired MST shortcut tour, falling
+// back to the Sekanina cube tour if that is better, and to the exact
+// solver on tiny instances. Returns the tour and its bottleneck. The 2-opt
+// repair loop — the dominant cost at large n — polls the context between
+// moves, so an expired request abandons the solve promptly with ctx.Err()
+// instead of finishing a tour nobody is waiting for.
+func BestTour(ctx context.Context, tree *mst.Tree) ([]int, float64, error) {
+	pts := tree.Pts
 	n := len(pts)
 	if n == 0 {
 		return nil, 0, nil
@@ -457,7 +452,6 @@ func BestTourCtx(ctx context.Context, pts []geom.Point) ([]int, float64, error) 
 			return t, b, nil
 		}
 	}
-	tree := mst.Euclidean(pts)
 	sc, err := TwoOptBottleneckCtx(ctx, pts, ShortcutTour(tree), 4*n)
 	if err != nil {
 		return nil, 0, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -227,8 +228,9 @@ func TestOrientTourRows(t *testing.T) {
 	for k := 1; k <= 2; k++ {
 		for trial := 0; trial < 10; trial++ {
 			pts := workload(rng, trial, 40+rng.Intn(80))
-			tour, bn := BestTour(pts)
-			asg, res := OrientTour(pts, tour, k, 0)
+			tree := mst.Euclidean(pts)
+			tour, bn, _ := BestTour(context.Background(), tree)
+			asg, res := OrientTour(tree, tour, k, 0)
 			if len(res.Violations) != 0 {
 				t.Fatalf("violations: %v", res.Violations)
 			}
@@ -251,7 +253,7 @@ func TestBestTourQuality(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		pts := pointset.Uniform(rng, 80, 10)
 		tree := mst.Euclidean(pts)
-		_, bn := BestTour(pts)
+		_, bn, _ := BestTour(context.Background(), mst.Euclidean(pts))
 		if bn > 2*tree.LMax()+1e-9 {
 			exceeded++
 		}
@@ -265,11 +267,11 @@ func TestBestTourQuality(t *testing.T) {
 }
 
 func TestBestTourTiny(t *testing.T) {
-	if tour, _ := BestTour(nil); tour != nil {
+	if tour, _, _ := BestTour(context.Background(), mst.Euclidean(nil)); tour != nil {
 		t.Fatal("empty best tour")
 	}
 	pts := pointset.Uniform(rand.New(rand.NewSource(2)), 7, 3)
-	tour, bn := BestTour(pts)
+	tour, bn, _ := BestTour(context.Background(), mst.Euclidean(pts))
 	if !isPermutation(tour, 7) {
 		t.Fatal("tiny best tour not a permutation")
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/mst"
 )
 
 func cancelTestPoints(n int) []geom.Point {
@@ -93,17 +94,13 @@ func TestTwoOptCheckpointsFireMidLoop(t *testing.T) {
 
 // TestTourOrienterHonorsDeadline: the registered tour orienter abandons a
 // solve whose deadline has passed with the context's error instead of
-// completing it (the checkpoint inside BestTourCtx's 2-opt loop).
+// completing it (the checkpoint inside BestTour's 2-opt loop).
 func TestTourOrienterHonorsDeadline(t *testing.T) {
 	o, ok := LookupOrienter("tour")
 	if !ok {
 		t.Fatal("tour orienter not registered")
 	}
-	co, ok := o.(ContextOrienter)
-	if !ok {
-		t.Fatal("tour orienter must implement ContextOrienter")
-	}
-	_, _, err := co.OrientCtx(expireCtx(t), cancelTestPoints(600), 1, 0)
+	_, _, err := o.OrientTree(expireCtx(t), mst.Euclidean(cancelTestPoints(600)), 1, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -114,12 +111,13 @@ func TestTourOrienterHonorsDeadline(t *testing.T) {
 // context error on that arm and on explicit-ctx entry.
 func TestOrientCtxDispatcherCancel(t *testing.T) {
 	pts := cancelTestPoints(300)
+	tree := mst.Euclidean(pts)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := OrientCtx(ctx, pts, 2, 0); !errors.Is(err, context.Canceled) {
+	if _, _, err := OrientTree(ctx, tree, 2, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("tour arm err = %v, want context.Canceled", err)
 	}
-	if _, _, err := OrientCtx(ctx, pts, 2, math.Pi); !errors.Is(err, context.Canceled) {
+	if _, _, err := OrientTree(ctx, tree, 2, math.Pi); !errors.Is(err, context.Canceled) {
 		t.Fatalf("non-tour arm must still refuse an expired context up front, got %v", err)
 	}
 	// The plain entry point is unaffected.
@@ -129,8 +127,8 @@ func TestOrientCtxDispatcherCancel(t *testing.T) {
 }
 
 // TestBatchThreadsContextIntoTour: OrientBatchCtx hands the batch context
-// to checkpoint-capable orienters, so an expired batch refuses its items
-// with the context error rather than orienting them.
+// to every item, so an expired batch refuses its items with the context
+// error rather than orienting them.
 func TestBatchThreadsContextIntoTour(t *testing.T) {
 	pts := cancelTestPoints(600)
 	res := OrientBatchCtx(expireCtx(t), []BatchItem{{Pts: pts, K: 1, Phi: 0, Algo: "tour"}}, 1)

@@ -181,7 +181,7 @@ func TestOrientFullCoverAllK(t *testing.T) {
 		phi := theorem2Threshold(k)
 		for trial := 0; trial < 10; trial++ {
 			pts := workload(rng, trial, 60+rng.Intn(100))
-			asg, res := OrientFullCover(pts, k, phi, trial%2 == 1)
+			asg, res := OrientFullCover(mst.Euclidean(pts), k, phi, trial%2 == 1)
 			checkOrientation(t, res.Algorithm, pts, k, phi, 1, res, func() *verify.Report {
 				return verify.Check(asg, verify.Budgets{K: k, Phi: phi, RadiusBound: 1})
 			})
@@ -190,11 +190,11 @@ func TestOrientFullCoverAllK(t *testing.T) {
 }
 
 func TestOrientFullCoverTrivial(t *testing.T) {
-	asg, res := OrientFullCover(nil, 5, 0, false)
+	asg, res := OrientFullCover(mst.Euclidean(nil), 5, 0, false)
 	if asg.N() != 0 || len(res.Violations) != 0 {
 		t.Fatal("empty cover failed")
 	}
-	asg, res = OrientFullCover([]geom.Point{{X: 1, Y: 1}}, 5, 0, false)
+	asg, res = OrientFullCover(mst.Euclidean([]geom.Point{{X: 1, Y: 1}}), 5, 0, false)
 	if asg.N() != 1 || len(res.Violations) != 0 {
 		t.Fatal("single cover failed")
 	}
@@ -205,7 +205,7 @@ func TestOrientOneAntennaRegimes(t *testing.T) {
 	for _, phi := range []float64{math.Pi, 1.1 * math.Pi, 1.25 * math.Pi, 1.5 * math.Pi, Phi1Full, 1.9 * math.Pi} {
 		for trial := 0; trial < 8; trial++ {
 			pts := workload(rng, trial, 50+rng.Intn(120))
-			asg, res := OrientOneAntenna(pts, phi)
+			asg, res := OrientOneAntenna(mst.Euclidean(pts), phi)
 			bound, _ := Bound(1, phi)
 			checkOrientation(t, res.Algorithm, pts, 1, phi, bound, res, func() *verify.Report {
 				return verify.Check(asg, verify.Budgets{K: 1, Phi: phi, RadiusBound: bound})
@@ -216,7 +216,7 @@ func TestOrientOneAntennaRegimes(t *testing.T) {
 
 func TestOrientOneAntennaRejectsTinyPhi(t *testing.T) {
 	pts := pointset.Uniform(rand.New(rand.NewSource(1)), 20, 5)
-	_, res := OrientOneAntenna(pts, math.Pi/2)
+	_, res := OrientOneAntenna(mst.Euclidean(pts), math.Pi/2)
 	if len(res.Violations) == 0 {
 		t.Fatal("phi < π must be reported")
 	}
@@ -227,7 +227,7 @@ func TestOrientTwoAntennaePart1(t *testing.T) {
 	for _, phi := range []float64{math.Pi, 1.05 * math.Pi, 1.15 * math.Pi} {
 		for trial := 0; trial < 12; trial++ {
 			pts := workload(rng, trial, 60+rng.Intn(150))
-			asg, res := OrientTwoAntennae(pts, phi)
+			asg, res := OrientTwoAntennae(mst.Euclidean(pts), phi)
 			bound, _ := Bound(2, phi)
 			checkOrientation(t, res.Algorithm, pts, 2, phi, bound, res, func() *verify.Report {
 				return verify.Check(asg, verify.Budgets{K: 2, Phi: phi, RadiusBound: bound})
@@ -242,7 +242,7 @@ func TestOrientTwoAntennaePart2(t *testing.T) {
 		phi := frac * math.Pi
 		for trial := 0; trial < 8; trial++ {
 			pts := workload(rng, trial, 60+rng.Intn(150))
-			asg, res := OrientTwoAntennae(pts, phi)
+			asg, res := OrientTwoAntennae(mst.Euclidean(pts), phi)
 			bound, _ := Bound(2, phi)
 			checkOrientation(t, res.Algorithm, pts, 2, phi, bound, res, func() *verify.Report {
 				return verify.Check(asg, verify.Budgets{K: 2, Phi: phi, RadiusBound: bound})
@@ -255,11 +255,11 @@ func TestOrientThreeFourAntennae(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for trial := 0; trial < 15; trial++ {
 		pts := workload(rng, trial, 60+rng.Intn(150))
-		asg, res := OrientThreeAntennae(pts, 0)
+		asg, res := OrientThreeAntennae(mst.Euclidean(pts), 0)
 		checkOrientation(t, res.Algorithm, pts, 3, 0, math.Sqrt(3), res, func() *verify.Report {
 			return verify.Check(asg, verify.Budgets{K: 3, Phi: 0, RadiusBound: math.Sqrt(3)})
 		})
-		asg, res = OrientFourAntennae(pts, 0)
+		asg, res = OrientFourAntennae(mst.Euclidean(pts), 0)
 		checkOrientation(t, res.Algorithm, pts, 4, 0, math.Sqrt(2), res, func() *verify.Report {
 			return verify.Check(asg, verify.Budgets{K: 4, Phi: 0, RadiusBound: math.Sqrt(2)})
 		})
@@ -359,7 +359,7 @@ func TestTheorem3CaseCoverage(t *testing.T) {
 	counts := map[string]int{}
 	for trial := 0; trial < 40; trial++ {
 		pts := workload(rng, trial, 120)
-		_, res := OrientTwoAntennae(pts, math.Pi)
+		_, res := OrientTwoAntennae(mst.Euclidean(pts), math.Pi)
 		for c, n := range res.Cases {
 			counts[c] += n
 		}

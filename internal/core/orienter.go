@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/antenna"
 	"repro/internal/geom"
+	"repro/internal/mst"
 )
 
 // Connectivity is the kind of connectivity an orienter promises for the
@@ -67,24 +68,19 @@ type Orienter interface {
 	// Guarantee returns the promise for (k, φ); ok is false outside the
 	// supported region.
 	Guarantee(k int, phi float64) (Guarantee, bool)
-	// Orient runs the construction. Callers must not rely on the
-	// self-reported Result for correctness — use package verify.
+	// OrientTree runs the construction on tree, the max-degree-5 EMST of
+	// the point set tree.Pts (mst.Euclidean). The tree is read-only to
+	// every orienter, so one build serves concurrent orienters and the
+	// verifier's l_max. Constructions with cancellation checkpoints (the
+	// tour 2-opt repair loop) abandon the solve with ctx.Err() at the next
+	// checkpoint; the rest run to completion, so a caller that wants to
+	// refuse work under a done context checks it before calling. Callers
+	// must not rely on the self-reported Result for correctness — use
+	// package verify.
+	OrientTree(ctx context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error)
+	// Orient builds the EMST of pts and runs OrientTree without a
+	// deadline.
 	Orient(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error)
-}
-
-// ContextOrienter is implemented by orienters whose constructions carry
-// cancellation checkpoints: OrientCtx abandons the solve with ctx.Err()
-// at the next checkpoint once the context is done, instead of burning the
-// abandoned computation to completion. Orientation is pure CPU work, so
-// checkpoint granularity is per-construction — today the tour 2-opt
-// repair loop (the long pole at large n) polls every few accepted moves;
-// constructions without internal checkpoints honor the context only
-// between phases. The engine's orientation pool (OrientBatchCtx) and the
-// planner's Race prefer this interface when an orienter provides it.
-type ContextOrienter interface {
-	Orienter
-	// OrientCtx runs the construction under the context.
-	OrientCtx(ctx context.Context, pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error)
 }
 
 // DefaultOrienterName selects the paper's Table-1 dispatcher.
@@ -161,16 +157,25 @@ func Orienters() []Orienter {
 	return out
 }
 
+// construction is the shape every built-in orienter runs: the shared
+// EMST in, the assignment and self-report out.
+type construction func(ctx context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error)
+
+// plain adapts a construction without cancellation checkpoints.
+func plain(f func(tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result)) construction {
+	return func(_ context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
+		asg, res := f(tree, k, phi)
+		return asg, res, nil
+	}
+}
+
 // funcOrienter adapts plain functions to the Orienter interface; every
-// built-in construction registers through it. Constructions with
-// cancellation checkpoints set orientCtx as well, which upgrades the
-// orienter to a ContextOrienter.
+// built-in construction registers through it.
 type funcOrienter struct {
 	info      OrienterInfo
 	supports  func(k int, phi float64) bool
 	guarantee func(k int, phi float64) Guarantee
-	orient    func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error)
-	orientCtx func(ctx context.Context, pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error)
+	orient    construction
 }
 
 func (f *funcOrienter) Info() OrienterInfo { return f.info }
@@ -190,26 +195,14 @@ func (f *funcOrienter) Guarantee(k int, phi float64) (Guarantee, bool) {
 }
 
 func (f *funcOrienter) Orient(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-	if !f.Supports(k, phi) {
-		return nil, nil, fmt.Errorf("core: orienter %q does not support k=%d phi=%.6f", f.info.Name, k, phi)
-	}
-	return f.orient(pts, k, phi)
+	return f.OrientTree(context.Background(), mst.Euclidean(pts), k, phi)
 }
 
-// OrientCtx runs the construction under a context when it has internal
-// checkpoints, falling back to the plain construction otherwise (the
-// context is then honored only by the caller between phases).
-func (f *funcOrienter) OrientCtx(ctx context.Context, pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
+func (f *funcOrienter) OrientTree(ctx context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
 	if !f.Supports(k, phi) {
 		return nil, nil, fmt.Errorf("core: orienter %q does not support k=%d phi=%.6f", f.info.Name, k, phi)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if f.orientCtx != nil {
-		return f.orientCtx(ctx, pts, k, phi)
-	}
-	return f.orient(pts, k, phi)
+	return f.orient(ctx, tree, k, phi)
 }
 
 // tourStretch is the proven bottleneck of the constructive tour: hops in
@@ -219,13 +212,11 @@ const tourStretch = 3
 // table1Branch couples one arm of the Table-1 dispatcher with the
 // guarantee that arm provides, so the construction Orient runs and the
 // claim dispatchGuarantee declares can never diverge. repair names the
-// arm's incremental-repair class (see RepairClass); runCtx, when set,
-// is the construction with cancellation checkpoints.
+// arm's incremental-repair class (see RepairClass).
 type table1Branch struct {
 	matches   func(k int, phi float64) bool
 	guarantee func(k int, phi float64) Guarantee
-	run       func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result)
-	runCtx    func(ctx context.Context, pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error)
+	run       construction
 	repair    string
 }
 
@@ -238,24 +229,22 @@ var dispatchBranches = []table1Branch{
 			return k >= 5 || phi >= theorem2Threshold(k)-geom.AngleEps
 		},
 		guarantee: coverGuarantee,
-		run: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
-			return OrientFullCover(pts, k, phi, false)
-		},
-		repair: RepairClassEMST,
+		run:       plain(fullCover),
+		repair:    RepairClassEMST,
 	},
 	{ // Theorem 6: four zero-spread chains.
 		matches:   func(k int, phi float64) bool { return k == 4 },
 		guarantee: chainsGuarantee,
-		run: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
-			return OrientFourAntennae(pts, phi)
-		},
+		run: plain(func(tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result) {
+			return OrientFourAntennae(tree, phi)
+		}),
 	},
 	{ // Theorem 5: three zero-spread chains.
 		matches:   func(k int, phi float64) bool { return k == 3 },
 		guarantee: chainsGuarantee,
-		run: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
-			return OrientThreeAntennae(pts, phi)
-		},
+		run: plain(func(tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result) {
+			return OrientThreeAntennae(tree, phi)
+		}),
 	},
 	{ // Theorem 3 (both parts).
 		matches: func(k int, phi float64) bool { return k == 2 && phi >= Phi2Min-geom.AngleEps },
@@ -263,22 +252,21 @@ var dispatchBranches = []table1Branch{
 			s, _ := Bound(2, phi)
 			return Guarantee{Conn: ConnStrong, Stretch: s, Antennae: 2, Spread: phi, StrongC: 1}
 		},
-		run: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
-			return OrientTwoAntennae(pts, phi)
-		},
+		run: plain(func(tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result) {
+			return OrientTwoAntennae(tree, phi)
+		}),
 	},
 	{ // The [4] anchored arc.
 		matches:   func(k int, phi float64) bool { return k == 1 && phi >= math.Pi-geom.AngleEps },
 		guarantee: arcGuarantee,
-		run: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
-			return OrientOneAntenna(pts, phi)
-		},
+		run: plain(func(tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result) {
+			return OrientOneAntenna(tree, phi)
+		}),
 	},
 	{ // φ too small for the inductions: the bottleneck-tour rows.
 		matches:   func(k int, phi float64) bool { return true },
 		guarantee: tourGuarantee,
-		run:       runTour,
-		runCtx:    runTourCtx,
+		run:       orientBestTour,
 		repair:    RepairClassTour,
 	},
 }
@@ -389,22 +377,22 @@ func tourGuarantee(k int, phi float64) Guarantee {
 	return g
 }
 
-// runTour is the shared tour construction behind the dispatcher's
-// fallback branch and the registered "tour" orienter.
-func runTour(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
-	asg, res, _ := runTourCtx(context.Background(), pts, k, phi)
-	return asg, res
+// fullCover is the Theorem 2 construction with the optimal gap cover,
+// shared by the dispatcher's first branch and the "cover" orienter.
+func fullCover(tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result) {
+	return OrientFullCover(tree, k, phi, false)
 }
 
-// runTourCtx is runTour with the batch context threaded into the 2-opt
-// repair loop: an expired request stops the optimization at the next
-// checkpoint instead of burning the abandoned solve to completion.
-func runTourCtx(ctx context.Context, pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-	tour, _, err := BestTourCtx(ctx, pts)
+// orientBestTour is the shared tour construction behind the dispatcher's
+// fallback branch and the registered "tour" orienter. The context reaches
+// the 2-opt repair loop: an expired request stops the optimization at the
+// next checkpoint instead of burning the abandoned solve to completion.
+func orientBestTour(ctx context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
+	tour, _, err := BestTour(ctx, tree)
 	if err != nil {
 		return nil, nil, err
 	}
-	asg, res := OrientTour(pts, tour, k, phi)
+	asg, res := OrientTour(tree, tour, k, phi)
 	res.Bound = tourStretch
 	res.Guarantee = tourStretch
 	return asg, res, nil
@@ -422,8 +410,7 @@ func init() {
 		},
 		supports:  func(k int, phi float64) bool { return true },
 		guarantee: dispatchGuarantee,
-		orient:    Orient,
-		orientCtx: OrientCtx,
+		orient:    dispatch,
 	})
 
 	RegisterOrienter(&funcOrienter{
@@ -439,10 +426,7 @@ func init() {
 			return phi >= theorem2Threshold(k)-geom.AngleEps
 		},
 		guarantee: coverGuarantee,
-		orient: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-			asg, res := OrientFullCover(pts, k, phi, false)
-			return asg, res, nil
-		},
+		orient:    plain(fullCover),
 	})
 
 	RegisterOrienter(&funcOrienter{
@@ -458,10 +442,9 @@ func init() {
 			return phi >= math.Pi-geom.AngleEps
 		},
 		guarantee: arcGuarantee,
-		orient: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-			asg, res := OrientOneAntenna(pts, phi)
-			return asg, res, nil
-		},
+		orient: plain(func(tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result) {
+			return OrientOneAntenna(tree, phi)
+		}),
 	})
 
 	RegisterOrienter(&funcOrienter{
@@ -475,10 +458,6 @@ func init() {
 		},
 		supports:  func(k int, phi float64) bool { return true },
 		guarantee: tourGuarantee,
-		orient: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-			asg, res := runTour(pts, k, phi)
-			return asg, res, nil
-		},
-		orientCtx: runTourCtx,
+		orient:    orientBestTour,
 	})
 }

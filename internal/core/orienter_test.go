@@ -148,7 +148,7 @@ func TestTwoRayChains(t *testing.T) {
 		"none":      nil,
 	}
 	for name, pts := range families {
-		asg, res := OrientTwoRayChains(pts, 2, 0)
+		asg, res := OrientTwoRayChains(mst.Euclidean(pts), 2, 0)
 		if len(res.Violations) > 0 {
 			t.Fatalf("%s: violations: %v", name, res.Violations)
 		}
@@ -179,7 +179,7 @@ func TestBoundedAngleTree(t *testing.T) {
 	}
 	for name, pts := range families {
 		for _, phi := range []float64{math.Pi, 1.3 * math.Pi, Phi1Full} {
-			asg, res := OrientBoundedAngleTree(pts, 1, phi)
+			asg, res := OrientBoundedAngleTree(mst.Euclidean(pts), 1, phi)
 			if len(res.Violations) > 0 {
 				t.Fatalf("%s phi=%.3f: violations: %v", name, phi, res.Violations)
 			}
@@ -200,7 +200,7 @@ func TestBoundedAngleTree(t *testing.T) {
 	// The collinear EMST is itself a π-bounded-angle tree: the stretch-1
 	// regime must kick in even below 8π/5.
 	line := pointset.Line(rand.New(rand.NewSource(3)), 60, 1, 0)
-	_, res := OrientBoundedAngleTree(line, 1, math.Pi)
+	_, res := OrientBoundedAngleTree(mst.Euclidean(line), 1, math.Pi)
 	if res.Cases["bats-mst-cover"] == 0 {
 		t.Fatalf("collinear bats did not take the MST-cover regime: %v", res.Cases)
 	}

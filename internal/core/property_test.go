@@ -208,7 +208,7 @@ func TestLargeInstanceSmoke(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(64))
 	pts := pointset.Uniform(rng, 5000, 70)
-	asg, res := OrientTwoAntennae(pts, math.Pi)
+	asg, res := OrientTwoAntennae(mst.Euclidean(pts), math.Pi)
 	if len(res.Violations) != 0 {
 		t.Fatalf("violations at n=5000: %s", res.Violations[0])
 	}

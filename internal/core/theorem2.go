@@ -18,7 +18,8 @@ import (
 // phi ≥ 2π(5−k)/5; smaller budgets are recorded as violations (the caller
 // chose the wrong row). literal selects the paper's verbatim Lemma 1
 // construction instead of the optimal gap cover (ablation E-A1).
-func OrientFullCover(pts []geom.Point, k int, phi float64, literal bool) (*antenna.Assignment, *Result) {
+func OrientFullCover(tree *mst.Tree, k int, phi float64, literal bool) (*antenna.Assignment, *Result) {
+	pts := tree.Pts
 	name := "theorem2-cover"
 	if literal {
 		name = "theorem2-cover-literal"
@@ -29,7 +30,6 @@ func OrientFullCover(pts []geom.Point, k int, phi float64, literal bool) (*anten
 		res.bump("trivial")
 		return asg, res
 	}
-	tree := mst.Euclidean(pts)
 	res.LMax = tree.LMax()
 	for u := 0; u < tree.N(); u++ {
 		nbs := tree.Adj[u]

@@ -14,29 +14,29 @@ import (
 // induction keeps every subtree root's out-degree ≤ 2: a parent points at
 // the heads of at most two child chains, and consecutive children bridge
 // cyclic angular gaps ≤ 2π/3 (so sibling hops are ≤ 2·sin(π/3) = √3).
-func OrientThreeAntennae(pts []geom.Point, phi float64) (*antenna.Assignment, *Result) {
-	return orientChains(pts, 3, phi, 2*math.Pi/3, 2, "theorem5-chains")
+func OrientThreeAntennae(tree *mst.Tree, phi float64) (*antenna.Assignment, *Result) {
+	return orientChains(tree, 3, phi, 2*math.Pi/3, 2, "theorem5-chains")
 }
 
 // OrientFourAntennae implements Theorem 6: four zero-spread antennae per
 // sensor achieve strong connectivity with radius at most √2·l_max, with
 // subtree-root out-degree ≤ 3 and sibling bridges across gaps ≤ π/2.
-func OrientFourAntennae(pts []geom.Point, phi float64) (*antenna.Assignment, *Result) {
-	return orientChains(pts, 4, phi, math.Pi/2, 3, "theorem6-chains")
+func OrientFourAntennae(tree *mst.Tree, phi float64) (*antenna.Assignment, *Result) {
+	return orientChains(tree, 4, phi, math.Pi/2, 3, "theorem6-chains")
 }
 
 // orientChains is the shared Theorem 5/6 engine. threshold is the largest
 // sibling gap the construction may bridge; maxOut the out-degree budget of
 // a subtree root (k−1, reserving one antenna as the "spare" its own parent
 // directs).
-func orientChains(pts []geom.Point, k int, phi, threshold float64, maxOut int, name string) (*antenna.Assignment, *Result) {
+func orientChains(tree *mst.Tree, k int, phi, threshold float64, maxOut int, name string) (*antenna.Assignment, *Result) {
+	pts := tree.Pts
 	res := newResult(name, k, phi)
 	asg := antenna.New(pts)
 	if len(pts) <= 1 {
 		res.bump("trivial")
 		return asg, res
 	}
-	tree := mst.Euclidean(pts)
 	res.LMax = tree.LMax()
 	rBound := res.Bound * res.LMax
 

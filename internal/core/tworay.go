@@ -37,7 +37,8 @@ const twoRayStretch = 2
 // induced digraph is strongly connected with radius at most 2·l_max. The
 // spread budget φ is not consumed. See the file comment for the proof
 // sketch.
-func OrientTwoRayChains(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
+func OrientTwoRayChains(tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result) {
+	pts := tree.Pts
 	res := newResult("tworay", k, phi)
 	res.Bound = twoRayStretch
 	res.Guarantee = twoRayStretch
@@ -47,7 +48,6 @@ func OrientTwoRayChains(pts []geom.Point, k int, phi float64) (*antenna.Assignme
 		res.bump("trivial")
 		return asg, res
 	}
-	tree := mst.Euclidean(pts)
 	res.LMax = tree.LMax()
 	rooted, err := mst.RootAtLeaf(tree)
 	if err != nil {
@@ -102,9 +102,6 @@ func init() {
 		guarantee: func(k int, phi float64) Guarantee {
 			return Guarantee{Conn: ConnStrong, Stretch: twoRayStretch, Antennae: 2, Spread: 0, StrongC: 1}
 		},
-		orient: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-			asg, res := OrientTwoRayChains(pts, k, phi)
-			return asg, res, nil
-		},
+		orient: plain(OrientTwoRayChains),
 	})
 }

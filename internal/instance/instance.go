@@ -11,8 +11,8 @@
 // served without a from-scratch solve. Three classes are maintained:
 // the EMST class (full cover — every sensor's sectors are a pure
 // function of its own EMST neighborhood) splices the maintained tree
-// exactly (mst.SpliceEMST) and re-aims only the sensors whose tree
-// neighborhood changed; the tour class (the φ=0 bottleneck-cycle rows)
+// exactly (mst.SpliceEMSTIndexed) and re-aims only the sensors whose
+// tree neighborhood changed; the tour class (the φ=0 bottleneck-cycle rows)
 // splices churn sites into the maintained Hamiltonian cycle
 // (route.SpliceTour) and repairs the hop bound with a dirty-window
 // 2-opt (route.LocalTwoOpt) before re-aiming only the rays whose cycle

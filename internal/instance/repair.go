@@ -55,10 +55,10 @@ type repairState struct {
 // solve, when the construction is repairable at the budget; nil
 // otherwise, so every later batch full-solves. The tree is rebuilt with
 // the same deterministic mst.Euclidean the construction ran; tour-class
-// kits re-derive the cycle with the same deterministic core.BestTour the
-// engine's tour construction used, so the maintained cycle matches the
-// artifact's rays exactly (a documented duplicate cost, paid only on
-// full solves of tour instances). Bats-class kits exist only in the
+// kits re-derive the cycle from that tree with the same deterministic
+// core.BestTour the engine's tour construction used, so the maintained
+// cycle matches the artifact's rays exactly (a documented duplicate cost,
+// paid only on full solves of tour instances). Bats-class kits exist only in the
 // wedge regime — when one φ-wedge per vertex covers its whole EMST
 // neighborhood; the cube-path regime is global and never repairs.
 func (m *Manager) buildRepairKit(b Budget, sol *solution.Solution, pts []geom.Point) *repairKit {
@@ -87,7 +87,8 @@ func (m *Manager) buildRepairKit(b Budget, sol *solution.Solution, pts []geom.Po
 	}
 	switch class {
 	case core.RepairClassTour:
-		kit.tour, _ = core.BestTour(pts)
+		// BestTour errs only on a done context; this one never is.
+		kit.tour, _, _ = core.BestTour(context.Background(), kit.tree)
 		if len(kit.tour) != len(pts) {
 			return nil
 		}
@@ -148,8 +149,8 @@ const maxRepairArc = 256
 // which can bail:
 //
 //  1. Splice the maintained EMST exactly under the batch
-//     (mst.SpliceEMST) — every class needs the new bottleneck, and the
-//     EMST classes need the dirty neighborhoods.
+//     (mst.SpliceEMSTIndexed) — every class needs the new bottleneck,
+//     and the EMST classes need the dirty neighborhoods.
 //  2. Compute the re-aim set for the class: EMST-neighborhood diffs for
 //     the cover and bats rules, cycle splice + dirty-window 2-opt
 //     (route.SpliceTour, route.LocalTwoOpt, under the request context)

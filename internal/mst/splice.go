@@ -8,13 +8,16 @@ import (
 	"repro/internal/spatial"
 )
 
-// SpliceEMST incrementally updates a Euclidean MST under a batch of point
-// mutations, in time proportional to the disturbed region instead of the
-// whole instance — the geometric engine behind live-instance repair
-// (internal/instance).
+// SpliceEMSTIndexed incrementally updates a Euclidean MST under a batch
+// of point mutations, in time proportional to the disturbed region
+// instead of the whole instance — the geometric engine behind
+// live-instance repair (internal/instance).
 //
 // oldTree is the EMST of the previous point set; pts is the new point
-// set; old2new maps each old index to its new index (-1 when the point
+// set; grid is a caller-provided spatial index of pts (nil builds one:
+// the live-instance repair path shares one grid between the splice and
+// the verifier's digraph build, skipping a duplicate indexing pass);
+// old2new maps each old index to its new index (-1 when the point
 // was removed); fresh lists the new indices whose position is not
 // inherited from the old set (added points, and moved points under their
 // new coordinates). The result is a max-degree-5 EMST of pts, exactly
@@ -47,14 +50,6 @@ import (
 // instance is degenerate (tiny n, a shattered survivor forest, an
 // unspanned reconnection); callers then rebuild with Euclidean. A nil
 // tree with ok=true never occurs.
-func SpliceEMST(oldTree *Tree, pts []geom.Point, old2new []int, fresh []int) (tree *Tree, touched []int, ok bool) {
-	return SpliceEMSTIndexed(oldTree, pts, nil, old2new, fresh)
-}
-
-// SpliceEMSTIndexed is SpliceEMST over a caller-provided spatial grid
-// for pts (nil builds one); callers that already indexed the new point
-// set — the live-instance repair path shares one grid between the splice
-// and the verifier's digraph build — skip the duplicate indexing pass.
 func SpliceEMSTIndexed(oldTree *Tree, pts []geom.Point, grid *spatial.Grid, old2new []int, fresh []int) (tree *Tree, touched []int, ok bool) {
 	n := len(pts)
 	if oldTree == nil || n < 16 || len(old2new) != oldTree.N() {
@@ -169,7 +164,7 @@ func SpliceEMSTIndexed(oldTree *Tree, pts []geom.Point, grid *spatial.Grid, old2
 	return repaired, touched, true
 }
 
-// splicer is the mutable working state of one SpliceEMST call.
+// splicer is the mutable working state of one SpliceEMSTIndexed call.
 type splicer struct {
 	pts  []geom.Point
 	adj  [][]int // current tree adjacency, adopted by the final Tree
@@ -183,7 +178,7 @@ type splicer struct {
 	maxLen float64   // current bottleneck edge length
 	// touched logs endpoints of every structural change after the
 	// survivor-forest build (reconnect links, insertion links and
-	// evictions), for SpliceEMST's changed-vertex report.
+	// evictions), for SpliceEMSTIndexed's changed-vertex report.
 	touched []int
 }
 

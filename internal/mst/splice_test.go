@@ -20,8 +20,8 @@ type spliceOp struct {
 
 // applySpliceOps applies a batch to pts, returning the new point set, the
 // old→new index map, and the fresh new indices — the exact inputs
-// SpliceEMST consumes (mirroring solution.PlanOps semantics: removals
-// shift later indices down, adds append).
+// SpliceEMSTIndexed consumes (mirroring solution.PlanOps semantics:
+// removals shift later indices down, adds append).
 func applySpliceOps(pts []geom.Point, ops []spliceOp) ([]geom.Point, []int, []int) {
 	type tracked struct {
 		pt    geom.Point
@@ -157,7 +157,7 @@ func TestSpliceEMSTMatchesScratch(t *testing.T) {
 				ops := randomBatch(rng, len(pts), 10)
 				newPts, old2new, fresh := applySpliceOps(pts, ops)
 				scratch := Euclidean(newPts)
-				spliced, touched, ok := SpliceEMST(tree, newPts, old2new, fresh)
+				spliced, touched, ok := SpliceEMSTIndexed(tree, newPts, nil, old2new, fresh)
 				if !ok {
 					rebuilds++
 					pts, tree = newPts, scratch
@@ -216,10 +216,10 @@ func TestSpliceEMSTBails(t *testing.T) {
 		identity[i] = i
 	}
 
-	if _, _, ok := SpliceEMST(nil, pts, identity, nil); ok {
+	if _, _, ok := SpliceEMSTIndexed(nil, pts, nil, identity, nil); ok {
 		t.Fatal("nil old tree must bail")
 	}
-	if _, _, ok := SpliceEMST(tree, pts[:8], identity[:8], nil); ok {
+	if _, _, ok := SpliceEMSTIndexed(tree, pts[:8], nil, identity[:8], nil); ok {
 		t.Fatal("mismatched old2new must bail")
 	}
 	// Freshening more than a quarter of the instance is not local repair.
@@ -227,12 +227,12 @@ func TestSpliceEMSTBails(t *testing.T) {
 	for i := 0; i < len(pts)/2; i++ {
 		manyFresh = append(manyFresh, i)
 	}
-	if _, _, ok := SpliceEMST(tree, pts, identity, manyFresh); ok {
+	if _, _, ok := SpliceEMSTIndexed(tree, pts, nil, identity, manyFresh); ok {
 		t.Fatal("bulk-fresh batch must bail")
 	}
 
 	// An empty batch is a no-op splice that must still be exact.
-	spliced, _, ok := SpliceEMST(tree, pts, identity, nil)
+	spliced, _, ok := SpliceEMSTIndexed(tree, pts, nil, identity, nil)
 	if !ok {
 		t.Fatal("no-op splice should succeed")
 	}

@@ -98,26 +98,6 @@ func TestNestedSpanAttribution(t *testing.T) {
 	}
 }
 
-// TestAsyncSpanExcluded: async spans overlap the main path, so they are
-// visible in snapshots but excluded from the header sum.
-func TestAsyncSpanExcluded(t *testing.T) {
-	tr := NewTrace("t3")
-	ctx := WithTrace(context.Background(), tr)
-	end := AsyncSpan(ctx, "emst")
-	_, endSync := StartSpan(ctx, "orient")
-	time.Sleep(time.Millisecond)
-	endSync()
-	end()
-	header := tr.Finish()
-	if strings.Contains(header, "emst") {
-		t.Fatalf("async span leaked into Server-Timing: %q", header)
-	}
-	spans, _ := tr.Snapshot()
-	if !spans[0].Async {
-		t.Fatal("async span not flagged in snapshot")
-	}
-}
-
 // TestRepeatedPhaseAggregates: two top-level spans with the same name
 // render as one aggregated phase.
 func TestRepeatedPhaseAggregates(t *testing.T) {
@@ -166,7 +146,6 @@ func TestUntracedNoop(t *testing.T) {
 		e()
 		_ = c
 		Annotate(ctx, "k", "v")
-		AsyncSpan(ctx, "a")()
 	})
 	if allocs != 0 {
 		t.Fatalf("untraced span path allocates %.1f per op, want 0", allocs)
@@ -174,7 +153,8 @@ func TestUntracedNoop(t *testing.T) {
 }
 
 // TestTraceConcurrency: spans recorded from many goroutines (the
-// engine's async phases) must be race-free and all land on the trace.
+// engine's salvage completions) must be race-free and all land on the
+// trace.
 func TestTraceConcurrency(t *testing.T) {
 	tr := NewTrace("t6")
 	ctx := WithTrace(context.Background(), tr)

@@ -1,12 +1,11 @@
 // Package plan selects orientation algorithms by objective instead of by
 // name. A Planner consults the a-priori Guarantees declared by every
 // registered core.Orienter, shortlists the algorithms whose guarantee
-// satisfies an Objective at a budget (k, φ), and either picks the
-// a-priori best or races the shortlist on the actual instance under a
-// context deadline. The planner never trusts a construction's
-// self-report: the winner is returned with its machine-checked Guarantee
-// attached, and the engine layer (package service) verifies the artifact
-// independently.
+// satisfies an Objective at a budget (k, φ), picks the a-priori best,
+// and can race that shortlist on the actual instance under a deadline.
+// The planner never trusts a construction's self-report: the winner is
+// returned with its machine-checked Guarantee attached, and the engine
+// layer (package service) verifies the artifact independently.
 package plan
 
 import (
@@ -17,7 +16,7 @@ import (
 
 	"repro/internal/antenna"
 	"repro/internal/core"
-	"repro/internal/geom"
+	"repro/internal/mst"
 	"repro/internal/verify"
 )
 
@@ -84,8 +83,8 @@ type Objective struct {
 	StrongC int
 	// Minimize ranks the feasible shortlist.
 	Minimize Minimize
-	// Deadline, when positive, makes Plan race the shortlist on the
-	// instance instead of picking a priori.
+	// Deadline, when positive, has the engine race the shortlist on the
+	// instance (Planner.Race) instead of picking a priori.
 	Deadline time.Duration
 }
 
@@ -262,50 +261,38 @@ type raceOutcome struct {
 	res       *core.Result
 }
 
-// Race runs the shortlist concurrently on the actual instance and picks
-// the candidate with the smallest measured max radius among those that
-// finish cleanly before the context is done; the winning run rides along
-// in the Decision so the caller never orients twice. Candidates that
-// error, report violations, or miss the deadline are ignored; if none
-// finishes, Race falls back to the a-priori ranking. Ties break toward
-// the a-priori rank, so a race with a generous deadline is
-// deterministic.
+// Race refines the a-priori decision d by measurement: it runs d's
+// shortlist concurrently on the instance whose EMST is tree (the
+// contestants share the one read-only tree) and picks the candidate with
+// the smallest measured max radius among those that finish cleanly within
+// deadline; the winning run rides along in the Decision so the caller
+// never orients twice. Candidates that error, report violations, or miss
+// the deadline are ignored; if none finishes, Race returns d unchanged.
+// Ties break toward the a-priori rank, so a race with a generous deadline
+// is deterministic.
 //
-// Orientation is CPU-bound Go code with no preemption points, so a
-// candidate that misses the deadline keeps computing in the background
-// until it finishes on its own; its result is discarded. Racing trades
-// that burst of wasted work for instance-measured selection — callers
-// under sustained load should prefer the a-priori Plan.
-func (p *Planner) Race(ctx context.Context, pts []geom.Point, obj Objective, k int, phi float64) (Decision, error) {
-	feasible, rejected := p.Shortlist(obj, k, phi)
-	if len(feasible) == 0 {
-		return Decision{Rejected: rejected}, fmt.Errorf(
-			"plan: no registered orienter guarantees %s connectivity at k=%d phi=%.4f", obj.Conn, k, phi)
-	}
-	if obj.Deadline > 0 {
+// Candidates are interrupted at the deadline only at their constructions'
+// own cancellation checkpoints (the tour 2-opt loop); the rest keep
+// computing in the background until they finish on their own, and their
+// results are discarded. Racing trades that burst of wasted work for
+// instance-measured selection — callers under sustained load should
+// prefer the a-priori Plan.
+func (p *Planner) Race(ctx context.Context, tree *mst.Tree, d Decision, k int, phi float64, deadline time.Duration) Decision {
+	if deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, obj.Deadline)
+		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
-	results := make(chan raceOutcome, len(feasible))
+	results := make(chan raceOutcome, len(d.Shortlist))
 	launched := 0
-	for i, c := range feasible {
+	for i, c := range d.Shortlist {
 		o, ok := core.LookupOrienter(c.Name)
 		if !ok {
 			continue
 		}
 		launched++
 		go func(i int, o core.Orienter) {
-			// Candidates with cancellation checkpoints stop at the race
-			// deadline instead of burning the lost run to completion.
-			var asg *antenna.Assignment
-			var res *core.Result
-			var err error
-			if co, ok := o.(core.ContextOrienter); ok {
-				asg, res, err = co.OrientCtx(ctx, pts, k, phi)
-			} else {
-				asg, res, err = o.Orient(pts, k, phi)
-			}
+			asg, res, err := o.OrientTree(ctx, tree, k, phi)
 			out := raceOutcome{idx: i}
 			if err == nil && len(res.Violations) == 0 {
 				out.ok = true
@@ -334,22 +321,12 @@ collect:
 		}
 	}
 	if best.idx < 0 {
-		// Nothing finished in time: fall back to the a-priori pick.
-		return Decision{
-			Winner:    feasible[0].Name,
-			Guarantee: feasible[0].Guarantee,
-			Shortlist: feasible,
-			Rejected:  rejected,
-		}, nil
+		// Nothing finished in time: keep the a-priori pick.
+		return d
 	}
-	return Decision{
-		Winner:    feasible[best.idx].Name,
-		Guarantee: feasible[best.idx].Guarantee,
-		Shortlist: feasible,
-		Rejected:  rejected,
-		Raced:     true,
-		Measured:  best.maxRadius,
-		WinnerAsg: best.asg,
-		WinnerRes: best.res,
-	}, nil
+	w := d.Shortlist[best.idx]
+	d.Winner, d.Guarantee = w.Name, w.Guarantee
+	d.Raced, d.Measured = true, best.maxRadius
+	d.WinnerAsg, d.WinnerRes = best.asg, best.res
+	return d
 }

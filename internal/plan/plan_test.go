@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/mst"
 	"repro/internal/pointset"
 	"repro/internal/verify"
 )
@@ -177,10 +178,11 @@ func TestRacePicksAWinner(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	pts := pointset.Uniform(rng, 80, 8)
 	obj := Objective{Conn: core.ConnStrong, Minimize: MinStretch, Deadline: 30 * time.Second}
-	d, err := p.Race(context.Background(), pts, obj, 2, 0)
+	d, err := p.Plan(obj, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d = p.Race(context.Background(), mst.Euclidean(pts), d, 2, 0, obj.Deadline)
 	if !d.Raced {
 		t.Fatal("race fell back to a-priori pick under a generous deadline")
 	}

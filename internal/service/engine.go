@@ -5,9 +5,10 @@
 // through Engine.Solve, which checks the two cache tiers (the in-memory
 // byte-charged LRU, then the durable disk store that survives restarts),
 // single-flights identical in-flight requests into one solve, plans via
-// the orienter registry's declared guarantees (internal/plan), orients
-// through the core.OrientBatch worker pool under the request's context
-// deadline, audits the output with the independent verifier, and fills
+// the orienter registry's declared guarantees (internal/plan), builds the
+// request's EMST once, orients on it through the core.OrientItem worker
+// pool under the request's context deadline, audits the output with the
+// independent verifier (handed the same tree's l_max), and fills
 // both tiers with the resulting artifact, content-addressed by (pointset
 // digest, budget, selection mode). The HTTP surface (http.go) adds the
 // request-lifecycle guardrails: bounded-inflight load shedding (429 +
@@ -98,13 +99,13 @@ type Options struct {
 	// through to it, and computed artifacts are written back, so equal
 	// requests stay byte-identical across process restarts.
 	Store *solution.Store
-	// Workers sizes the core.OrientBatch pool (≤ 0 selects GOMAXPROCS).
+	// Workers sizes the orientation pool (≤ 0 selects GOMAXPROCS).
 	Workers int
 	// BatchWindow, when positive, coalesces concurrent Solve calls into
-	// shared core.OrientBatch runs: the first request in a quiet engine
+	// shared orientation pool runs: the first request in a quiet engine
 	// waits at most this long for companions. The antennad server
 	// enables this; in-process CLI engines leave it zero (every Solve
-	// still runs through OrientBatch, as a batch of one).
+	// then orients on its own goroutine).
 	BatchWindow time.Duration
 	// MaxBatch caps a coalesced batch (≤ 0 selects 64).
 	MaxBatch int
@@ -420,15 +421,18 @@ func (e *Engine) leave(f *flight) {
 
 // solveMiss computes, verifies, and caches the artifact for a request
 // that missed both tiers. Errors are never cached. Deadline expiry is
-// strict but not wasteful: when the orientation lands after the
-// caller's deadline, the caller gets ctx.Err() while the finished
-// artifact is still verified and written into both tiers (synchronously
-// if the result was already in hand, in the background otherwise), so a
-// retry hits the cache instead of re-paying the solve.
+// strict but not wasteful: a flight abandoned before its EMST is built
+// stops there, and once the tree is paid for the orientation runs to
+// completion unless its construction stops at a cancellation checkpoint.
+// When the orientation lands after the caller's deadline, the caller
+// gets ctx.Err() while the finished artifact is still verified and
+// written into both tiers (synchronously if the result was already in
+// hand, in the background otherwise), so a retry hits the cache instead
+// of re-paying the solve.
 func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (*solution.Solution, error) {
 	t0 := time.Now()
 	_, endPlan := obs.StartSpan(ctx, "plan")
-	algo, decision, err := e.selectAlgo(ctx, req)
+	algo, decision, err := e.selectAlgo(req)
 	endPlan()
 	if err != nil {
 		return nil, err
@@ -443,23 +447,35 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 			algo, req.K, req.Phi, orienter.Info().Region)}
 	}
 
-	// The verifier's radius audit divides by the EMST bottleneck l_max —
-	// the same mst.Euclidean(req.Pts).LMax() the verify tail would
-	// recompute from scratch. Kick that tree build off now so it overlaps
-	// the orientation instead of serializing after it; finish folds the
-	// value into the budgets as KnownLMax.
-	lmaxc := prefetchLMax(ctx, req.Pts)
+	// The request is feasible: build its EMST once. Every construction
+	// and every race contestant reads this one tree, and the verifier's
+	// radius audit takes its bottleneck l_max, read here before any
+	// orienter sees the tree.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	_, endEMST := obs.StartSpan(ctx, "emst")
+	tree := mst.Euclidean(req.Pts)
+	lmax := tree.LMax()
+	endEMST()
 
-	// A race already oriented the winner on this instance; reuse that
-	// run instead of orienting a second time.
-	if decision != nil && decision.WinnerAsg != nil {
-		sol := e.finish(ctx, req, key, decision, guar, decision.WinnerAsg, decision.WinnerRes, lmaxc)
-		e.metrics.SolveSeconds.ObserveDuration(time.Since(t0))
-		return sol, nil
+	if decision != nil && req.Objective.Deadline > 0 {
+		e.metrics.Races.Add(1)
+		_, endRace := obs.StartSpan(ctx, "race")
+		*decision = e.planner.Race(ctx, tree, *decision, req.K, req.Phi, req.Objective.Deadline)
+		endRace()
+		algo, guar = decision.Winner, decision.Guarantee
+		// The race already oriented the winner on this instance; reuse
+		// that run instead of orienting a second time.
+		if decision.WinnerAsg != nil {
+			sol := e.finish(ctx, req, key, decision, guar, lmax, decision.WinnerAsg, decision.WinnerRes)
+			e.metrics.SolveSeconds.ObserveDuration(time.Since(t0))
+			return sol, nil
+		}
 	}
 
 	_, endOrient := obs.StartSpan(ctx, "orient")
-	resc := e.orientAsync(ctx, core.BatchItem{Pts: req.Pts, K: req.K, Phi: req.Phi, Algo: algo})
+	resc := e.orientAsync(ctx, core.BatchItem{Pts: req.Pts, Tree: tree, K: req.K, Phi: req.Phi, Algo: algo})
 	select {
 	case out := <-resc:
 		endOrient()
@@ -476,10 +492,10 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 			// deadline reports the expiry, never a lucky scheduling
 			// race — but the artifact is salvaged for the tiers.
 			e.noteCtxErr(err)
-			e.finish(ctx, req, key, decision, guar, out.Asg, out.Res, lmaxc)
+			e.finish(ctx, req, key, decision, guar, lmax, out.Asg, out.Res)
 			return nil, err
 		}
-		sol := e.finish(ctx, req, key, decision, guar, out.Asg, out.Res, lmaxc)
+		sol := e.finish(ctx, req, key, decision, guar, lmax, out.Asg, out.Res)
 		e.metrics.SolveSeconds.ObserveDuration(time.Since(t0))
 		return sol, nil
 	case <-ctx.Done():
@@ -488,7 +504,7 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 		// it eventually lands so a retry does not re-pay it.
 		go func() {
 			if out := <-resc; out.Err == nil {
-				e.finish(ctx, req, key, decision, guar, out.Asg, out.Res, lmaxc)
+				e.finish(ctx, req, key, decision, guar, lmax, out.Asg, out.Res)
 			}
 		}()
 		e.noteCtxErr(ctx.Err())
@@ -496,42 +512,17 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 	}
 }
 
-// prefetchLMax computes the EMST bottleneck of pts on its own goroutine.
-// The channel is buffered so the producer never blocks; every solveMiss
-// path receives at most once (in finish). Returns nil for point sets
-// with no spanning edge. The span is async: the tree build deliberately
-// overlaps the orientation, so it must not count toward the sequential
-// phase sum.
-func prefetchLMax(ctx context.Context, pts []geom.Point) <-chan float64 {
-	if len(pts) <= 1 {
-		return nil
-	}
-	c := make(chan float64, 1)
-	go func() {
-		end := obs.AsyncSpan(ctx, "emst")
-		c <- mst.Euclidean(pts).LMax()
-		end()
-	}()
-	return c
-}
-
 // finish runs the post-orientation tail — independent verification,
 // artifact assembly, and the fill of both cache tiers — and returns the
-// immutable artifact.
+// immutable artifact. lmax is the EMST bottleneck of req.Pts.
 func (e *Engine) finish(ctx context.Context, req Request, key solution.Key, decision *plan.Decision, guar core.Guarantee,
-	asg *antenna.Assignment, res *core.Result, lmaxc <-chan float64) *solution.Solution {
+	lmax float64, asg *antenna.Assignment, res *core.Result) *solution.Solution {
 	// Budgets come from the a-priori guarantee, never from the
-	// construction's self-report.
+	// construction's self-report. The bottleneck is bit-for-bit the value
+	// verify.Check would recompute (same mst.Euclidean over the same
+	// points), so handing it over changes no verdicts.
 	budgets := plan.VerifyBudgets(guar)
-	if lmaxc != nil {
-		// The prefetched bottleneck is bit-for-bit the value verify.Check
-		// would recompute (same mst.Euclidean over the same points), so
-		// handing it over changes no verdicts — only the duplicate tree
-		// build goes away.
-		if lm := <-lmaxc; lm > 0 {
-			budgets.KnownLMax = lm
-		}
-	}
+	budgets.KnownLMax = lmax
 	_, endVerify := obs.StartSpan(ctx, "verify")
 	rep := verify.Check(asg, budgets)
 	endVerify()
@@ -580,21 +571,14 @@ func validate(req Request) error {
 }
 
 // selectAlgo resolves the orienter to run: the explicit name, or the
-// planner's choice (raced on the instance when the objective sets a
-// deadline).
-func (e *Engine) selectAlgo(ctx context.Context, req Request) (string, *plan.Decision, error) {
+// planner's a-priori choice (solveMiss races it on the instance when the
+// objective sets a deadline).
+func (e *Engine) selectAlgo(req Request) (string, *plan.Decision, error) {
 	if req.Algo != "" {
 		return req.Algo, nil, nil
 	}
 	e.metrics.PlanCalls.Add(1)
-	var d plan.Decision
-	var err error
-	if req.Objective.Deadline > 0 {
-		e.metrics.Races.Add(1)
-		d, err = e.planner.Race(ctx, req.Pts, req.Objective, req.K, req.Phi)
-	} else {
-		d, err = e.planner.Plan(req.Objective, req.K, req.Phi)
-	}
+	d, err := e.planner.Plan(req.Objective, req.K, req.Phi)
 	if err != nil {
 		// An empty shortlist is a property of the budget and objective
 		// alone — deterministic, hence negatively cacheable.
@@ -649,16 +633,15 @@ func buildSolution(key solution.Key, req Request, decision *plan.Decision, guar 
 // orientAsync submits one item to the orientation pool and returns the
 // buffered channel its result will land on — the producer never blocks,
 // so a caller abandoning the wait can leave a drainer behind to salvage
-// the result. With batching disabled the item runs as its own batch
-// under the request context (the abandoned orientation finishes in the
-// background — CPU work is not preempted — but the caller is
-// unblocked). With a batch window, concurrent Solves coalesce into
-// shared pool runs; a job whose requester's deadline passes while
-// queued is dropped before the pool runs it.
+// the result. The item always orients under ctx, so a construction with
+// cancellation checkpoints stops once ctx is done; the rest finish in
+// the background (CPU work is not preempted) while the caller is
+// unblocked. With batching disabled the item runs on its own goroutine;
+// with a batch window, concurrent Solves coalesce into shared pool runs.
 func (e *Engine) orientAsync(ctx context.Context, item core.BatchItem) <-chan core.BatchResult {
 	if e.opts.BatchWindow <= 0 {
 		done := make(chan core.BatchResult, 1)
-		go func() { done <- core.OrientBatchCtx(ctx, []core.BatchItem{item}, 1)[0] }()
+		go func() { done <- core.OrientItem(ctx, item) }()
 		return done
 	}
 	e.started.Do(func() { go e.dispatch() })
@@ -701,8 +684,8 @@ type batchJob struct {
 }
 
 // dispatch is the batcher loop: on a kick it waits one batch window for
-// companions, drains up to MaxBatch pending jobs, and runs them through
-// a single core.OrientBatch call.
+// companions, drains up to MaxBatch pending jobs, and fans them across
+// one worker pool, each job orienting under its own requester's context.
 func (e *Engine) dispatch() {
 	for range e.kick {
 		time.Sleep(e.opts.BatchWindow)
@@ -718,32 +701,18 @@ func (e *Engine) dispatch() {
 			}
 			jobs := make([]*batchJob, n)
 			copy(jobs, e.pending[:n])
-			e.pending = append(e.pending[:0], e.pending[n:]...)
+			rest := copy(e.pending, e.pending[n:])
+			// Clear the vacated slots: a stale job pointer would keep its
+			// item's EMST reachable until the slot is reused.
+			clear(e.pending[rest:])
+			e.pending = e.pending[:rest]
 			e.batchMu.Unlock()
 
-			// Shed jobs whose deadline passed while queued — their
-			// requesters are gone, so running them wastes pool slots.
-			live := jobs[:0]
-			for _, j := range jobs {
-				if err := j.ctx.Err(); err != nil {
-					j.done <- core.BatchResult{Err: err}
-					continue
-				}
-				live = append(live, j)
-			}
-			if len(live) == 0 {
-				continue
-			}
-			items := make([]core.BatchItem, len(live))
-			for i, j := range live {
-				items[i] = j.item
-			}
 			e.metrics.Batches.Add(1)
-			e.metrics.BatchedItems.Add(uint64(len(live)))
-			results := core.OrientBatch(items, e.opts.Workers)
-			for i, j := range live {
-				j.done <- results[i]
-			}
+			e.metrics.BatchedItems.Add(uint64(n))
+			core.ParallelFor(n, e.opts.Workers, func(i int) {
+				jobs[i].done <- core.OrientItem(jobs[i].ctx, jobs[i].item)
+			})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/mst"
 	"repro/internal/plan"
 	"repro/internal/pointset"
 	"repro/internal/verify"
@@ -257,5 +259,46 @@ func TestSolveBatchedMatchesUnbatched(t *testing.T) {
 	}
 	if batched.Metrics().Batches.Load() == 0 {
 		t.Fatal("batcher never ran")
+	}
+}
+
+// expiringCtx is a context whose Err reports a deadline expiry after a
+// fixed number of nil polls — a deterministic stand-in for a deadline
+// passing mid-solve, which a real timer cannot deliver reliably on a busy
+// single-CPU runner.
+type expiringCtx struct {
+	context.Context
+	polls int
+}
+
+func (c *expiringCtx) Err() error {
+	if c.polls--; c.polls < 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestBatchedOrientHonorsRequestContext: with a batch window each job
+// orients under its own requester's context, so a tour whose deadline
+// passes after the job left the queue stops at a 2-opt checkpoint with
+// the context error instead of running the abandoned repair loop to
+// completion.
+func TestBatchedOrientHonorsRequestContext(t *testing.T) {
+	eng := NewEngine(Options{BatchWindow: 2 * time.Millisecond})
+	defer eng.Close()
+	pts := uniformPts(2000, 31)
+	item := core.BatchItem{Pts: pts, Tree: mst.Euclidean(pts), K: 1, Phi: 0, Algo: "tour"}
+	// The first poll (the 2-opt entry) passes; the loop's first interior
+	// checkpoint sees the expiry.
+	out := <-eng.orientAsync(&expiringCtx{Context: context.Background(), polls: 1}, item)
+	if !errors.Is(out.Err, context.DeadlineExceeded) {
+		t.Fatalf("batched tour err = %v, want the request's deadline error", out.Err)
+	}
+	// The same job under a live context orients cleanly.
+	if out := <-eng.orientAsync(context.Background(), item); out.Err != nil || out.Asg == nil {
+		t.Fatalf("live batched tour: err %v", out.Err)
+	}
+	if eng.Metrics().Batches.Load() == 0 {
+		t.Fatal("jobs bypassed the batch dispatcher")
 	}
 }

@@ -172,6 +172,59 @@ func TestInstanceTracingHeaders(t *testing.T) {
 	}
 }
 
+// TestOrientMissBuildsOneEMST: an /orient miss builds the request's EMST
+// exactly once — the orienter (or every race contestant) and the
+// verifier's l_max share it — under a sequential "emst" phase, and the
+// Server-Timing phases still account for the wall time.
+func TestOrientMissBuildsOneEMST(t *testing.T) {
+	eng := NewEngine(Options{})
+	defer eng.Close()
+	srv := NewServer(eng)
+	h := srv.Handler()
+	phi2Full := fmt.Sprintf("%.15f", core.Phi2Full)
+	for i, tc := range []struct{ name, budget string }{
+		{"cover", `"k":2,"phi":` + phi2Full + `,"algo":"cover"`},
+		{"tworay", `"k":2,"phi":0,"algo":"tworay"`},
+		{"tour", `"k":1,"phi":0,"algo":"tour"`},
+		{"raced", `"k":2,"phi":0,"objective":{"race_ms":60000}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			id := "one-emst-" + tc.name
+			body := fmt.Sprintf(`{"gen":{"workload":"uniform","n":400,"seed":%d},%s}`, 60+i, tc.budget)
+			rec, _ := doJSON(t, h, "POST", "/orient", body, map[string]string{"X-Trace-Id": id})
+			if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
+				t.Fatalf("status %d, X-Cache %q: %s", rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+			}
+			ph := assertPhasesSumToTotal(t, rec.Header().Get("Server-Timing"))
+			if _, ok := ph["emst"]; !ok {
+				t.Errorf("miss Server-Timing lacks the emst phase: %v", ph)
+			}
+			var view *obs.TraceView
+			snap := srv.Traces().Snapshot()
+			for i := range snap.Recent {
+				if snap.Recent[i].TraceID == id {
+					view = &snap.Recent[i]
+				}
+			}
+			if view == nil {
+				t.Fatalf("trace %q not recorded", id)
+			}
+			emst := 0
+			for _, sp := range view.Spans {
+				if sp.Name == "emst" {
+					emst++
+				}
+			}
+			if emst != 1 {
+				t.Fatalf("%d emst spans in the miss trace, want 1: %+v", emst, view.Spans)
+			}
+		})
+	}
+	if eng.Metrics().Races.Load() != 1 {
+		t.Fatalf("races counter %d, want 1", eng.Metrics().Races.Load())
+	}
+}
+
 // TestDebugTracesEndpoint: the serving mux exposes the bounded trace
 // ring at /debug/traces, and recorded traces carry their spans and
 // annotations.

@@ -152,7 +152,7 @@ func (g *Grid) Nearest(q geom.Point, exclude int) int {
 // break toward the smaller index, so results are deterministic. It scans
 // concentric cell rings outward and stops once no closer point can exist
 // — the foreign-component queries of the incremental EMST splice
-// (mst.SpliceEMST) run on this.
+// (mst.SpliceEMSTIndexed) run on this.
 func (g *Grid) NearestWhere(q geom.Point, accept func(i int) bool) int {
 	return g.nearestWhere(q, math.Inf(1), accept)
 }

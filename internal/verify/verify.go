@@ -26,14 +26,17 @@ type Budgets struct {
 	Symmetric   bool    // require the mutual (bidirectional) edges alone to connect the network
 	// KnownLMax, when positive, supplies the EMST bottleneck l_max
 	// instead of recomputing it from scratch. The caller vouches for the
-	// value: the live-instance repair path (internal/instance) passes the
-	// bottleneck of the EMST it maintains exactly — the same quantity
-	// mst.Euclidean would recompute — so every structural check
-	// (connectivity, spread, antenna counts, the radius ratio against
-	// KnownLMax) still runs in full; only the duplicate tree build is
-	// skipped. Its exactness is policed by the churn-equivalence harness,
-	// which cross-checks repaired revisions against from-scratch solves
-	// whose verification recomputes l_max independently.
+	// value, and both callers supply exactly the quantity mst.Euclidean
+	// would recompute: the engine (internal/service) builds the request's
+	// EMST with mst.Euclidean once per solve and reads its bottleneck
+	// before any orienter sees the tree, and the live-instance repair
+	// path (internal/instance) passes the bottleneck of the EMST it
+	// maintains exactly. Every structural check (connectivity, spread,
+	// antenna counts, the radius ratio against KnownLMax) still runs in
+	// full; only the duplicate tree build is skipped. The repair path's
+	// exactness is policed by the churn-equivalence harness, which
+	// cross-checks repaired revisions against from-scratch solves whose
+	// verification recomputes l_max independently.
 	KnownLMax float64
 }
 
