@@ -12,7 +12,7 @@ import (
 	"repro/internal/mst"
 )
 
-// BatchItem is one orientation problem for OrientBatch: a point set, the
+// BatchItem is one orientation problem for OrientItem: a point set, the
 // (k, φ) budget to orient it under, and optionally the registered
 // orienter to run (empty selects the Table-1 dispatcher). Naming an
 // unregistered orienter yields an error in that item's BatchResult.
@@ -27,44 +27,21 @@ type BatchItem struct {
 	Algo string
 }
 
-// BatchResult carries the outcome for the item at the same index.
+// BatchResult carries the outcome of one BatchItem.
 type BatchResult struct {
 	Asg *antenna.Assignment
 	Res *Result
 	Err error
 }
 
-// OrientBatch orients every item, fanning independent instances across a
-// worker pool. workers ≤ 0 selects GOMAXPROCS. Results are returned in
-// input order regardless of scheduling, and a single worker degenerates to
-// a plain loop with zero goroutine overhead, so output is deterministic at
-// every parallelism level. This is the batch entry point for Table-1
-// regeneration, parameter sweeps, and any caller orienting many
-// deployments at once.
-func OrientBatch(items []BatchItem, workers int) []BatchResult {
-	return OrientBatchCtx(context.Background(), items, workers)
-}
-
-// OrientBatchCtx is OrientBatch with cooperative cancellation: items not
-// yet started when the context is done are marked with ctx.Err() instead
-// of oriented, and running items are oriented under ctx (see OrientItem).
-func OrientBatchCtx(ctx context.Context, items []BatchItem, workers int) []BatchResult {
-	out := make([]BatchResult, len(items))
-	ParallelFor(len(items), workers, func(i int) {
-		if err := ctx.Err(); err != nil {
-			out[i].Err = err
-			return
-		}
-		out[i] = OrientItem(ctx, items[i])
-	})
-	return out
-}
-
 // OrientItem orients one item under ctx: the construction's own
 // checkpoints (the tour 2-opt repair loop polls every few moves) abandon
 // it with ctx.Err() once the context is done; constructions without
-// checkpoints run to completion. This is how the service layer
-// propagates each request's deadline into the orientation pool.
+// checkpoints run to completion, so a caller that wants to refuse work
+// under a done context checks it first. Fanning items across
+// ParallelFor, each writing its own result slot, orients a batch in
+// input order at every worker count; this is how the service layer runs
+// its orientation pool under each request's own deadline.
 func OrientItem(ctx context.Context, it BatchItem) BatchResult {
 	name := it.Algo
 	if name == "" {
@@ -86,8 +63,8 @@ func OrientItem(ctx context.Context, it BatchItem) BatchResult {
 // workers ≤ 0 selects GOMAXPROCS; a single worker degenerates to a plain
 // loop with no goroutine overhead. Each index must write only its own
 // result slot, which makes the output independent of scheduling — the
-// shared fan-out primitive behind OrientBatch and the experiment
-// harnesses.
+// shared fan-out primitive behind the service's orientation pool and the
+// experiment harnesses.
 func ParallelFor(n, workers int, fn func(int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

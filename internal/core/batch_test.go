@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,9 +9,10 @@ import (
 	"repro/internal/pointset"
 )
 
-// TestOrientBatchMatchesSerial pins the worker pool against one-by-one
-// Orient calls: same assignments, same self-reports, input order
-// preserved at every worker count.
+// TestOrientBatchMatchesSerial pins OrientItem fanned across ParallelFor
+// against one-by-one Orient calls: same assignments, same self-reports,
+// same errors for invalid budgets, input order preserved at every worker
+// count.
 func TestOrientBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var items []BatchItem
@@ -21,11 +23,19 @@ func TestOrientBatchMatchesSerial(t *testing.T) {
 			Phi: float64(i%3) * math.Pi / 2,
 		})
 	}
+	// Invalid budgets must be refused by the default orienter exactly as
+	// Orient refuses them.
+	bad := pointset.Uniform(rng, 40, 8)
+	items = append(items,
+		BatchItem{Pts: bad, K: 0, Phi: math.Pi},
+		BatchItem{Pts: bad, K: 2, Phi: -1},
+		BatchItem{Pts: bad, K: 2, Phi: math.NaN()},
+	)
 	for _, workers := range []int{1, 3, 16} {
-		got := OrientBatch(items, workers)
-		if len(got) != len(items) {
-			t.Fatalf("workers=%d: %d results for %d items", workers, len(got), len(items))
-		}
+		got := make([]BatchResult, len(items))
+		ParallelFor(len(items), workers, func(i int) {
+			got[i] = OrientItem(context.Background(), items[i])
+		})
 		for i, it := range items {
 			asg, res, err := Orient(it.Pts, it.K, it.Phi)
 			if (err != nil) != (got[i].Err != nil) {
@@ -42,7 +52,5 @@ func TestOrientBatchMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	if out := OrientBatch(nil, 4); len(out) != 0 {
-		t.Fatal("empty batch must yield empty results")
-	}
+	ParallelFor(0, 4, func(int) { t.Fatal("empty range must not call fn") })
 }

@@ -107,18 +107,23 @@ func TestTourOrienterHonorsDeadline(t *testing.T) {
 }
 
 // TestOrientCtxDispatcherCancel: the Table-1 dispatcher's tour fallback
-// arm (φ = 0) threads the context; an expired context answers with the
-// context error on that arm and on explicit-ctx entry.
+// arm (φ = 0) threads the context, so an expired context answers with
+// the context error on that arm; arms without checkpoints run to
+// completion, the same contract as every other orienter.
 func TestOrientCtxDispatcherCancel(t *testing.T) {
+	o, ok := LookupOrienter(DefaultOrienterName)
+	if !ok {
+		t.Fatal("table1 orienter not registered")
+	}
 	pts := cancelTestPoints(300)
 	tree := mst.Euclidean(pts)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := OrientTree(ctx, tree, 2, 0); !errors.Is(err, context.Canceled) {
+	if _, _, err := o.OrientTree(ctx, tree, 2, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("tour arm err = %v, want context.Canceled", err)
 	}
-	if _, _, err := OrientTree(ctx, tree, 2, math.Pi); !errors.Is(err, context.Canceled) {
-		t.Fatalf("non-tour arm must still refuse an expired context up front, got %v", err)
+	if _, _, err := o.OrientTree(ctx, tree, 2, math.Pi); err != nil {
+		t.Fatalf("arm without checkpoints must complete, got %v", err)
 	}
 	// The plain entry point is unaffected.
 	if _, _, err := Orient(pts, 2, 0); err != nil {
@@ -126,13 +131,13 @@ func TestOrientCtxDispatcherCancel(t *testing.T) {
 	}
 }
 
-// TestBatchThreadsContextIntoTour: OrientBatchCtx hands the batch context
-// to every item, so an expired batch refuses its items with the context
-// error rather than orienting them.
+// TestBatchThreadsContextIntoTour: OrientItem hands its context to the
+// construction, so a tour item under an expired context is abandoned at
+// the 2-opt checkpoint with the context error rather than oriented.
 func TestBatchThreadsContextIntoTour(t *testing.T) {
 	pts := cancelTestPoints(600)
-	res := OrientBatchCtx(expireCtx(t), []BatchItem{{Pts: pts, K: 1, Phi: 0, Algo: "tour"}}, 1)
-	if !errors.Is(res[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("batch item err = %v, want deadline exceeded", res[0].Err)
+	res := OrientItem(expireCtx(t), BatchItem{Pts: pts, K: 1, Phi: 0, Algo: "tour"})
+	if !errors.Is(res.Err, context.DeadlineExceeded) {
+		t.Fatalf("batch item err = %v, want deadline exceeded", res.Err)
 	}
 }

@@ -25,33 +25,23 @@ import (
 //	k=4: φ ≥ 2π/5 → Theorem 2 (r=1);  else Theorem 6 (r ≤ √2).
 //	k≥5: bidirected MST (r=1).
 func Orient(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-	return OrientTree(context.Background(), mst.Euclidean(pts), k, phi)
+	return dispatch(context.Background(), mst.Euclidean(pts), k, phi)
 }
 
-// OrientTree is Orient on a prebuilt EMST of the point set (tree.Pts),
-// under a context: a context already done is refused up front, the
-// dispatch arms with internal cancellation checkpoints (today the
-// bottleneck-tour rows, whose 2-opt repair dominates at large n) abandon
-// the solve with ctx.Err() once the context is done, and the remaining
-// arms run to completion.
-func OrientTree(ctx context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
+// dispatch validates the budget and runs the Table-1 branch for (k, φ)
+// on a prebuilt EMST of the point set (tree.Pts). It is the construction
+// behind both Orient and the registered "table1" orienter, so every entry
+// point shares one contract. The branch table couples each construction
+// with the guarantee it provides (see dispatchBranches);
+// dispatchGuarantee reads the same table, so claim and construction
+// cannot diverge.
+func dispatch(ctx context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("core: k must be ≥ 1, got %d", k)
 	}
 	if phi < 0 || math.IsNaN(phi) {
 		return nil, nil, fmt.Errorf("core: invalid spread budget %v", phi)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	return dispatch(ctx, tree, k, phi)
-}
-
-// dispatch runs the Table-1 branch for (k, φ). The branch table couples
-// each construction with the guarantee it provides (see
-// dispatchBranches); dispatchGuarantee reads the same table, so claim and
-// construction cannot diverge.
-func dispatch(ctx context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
 	return dispatchBranchFor(k, phi).run(ctx, tree, k, phi)
 }
 

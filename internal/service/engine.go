@@ -684,8 +684,9 @@ type batchJob struct {
 }
 
 // dispatch is the batcher loop: on a kick it waits one batch window for
-// companions, drains up to MaxBatch pending jobs, and fans them across
-// one worker pool, each job orienting under its own requester's context.
+// companions, drains up to MaxBatch pending jobs, sheds those whose
+// requester's context expired in the queue, and fans the rest across one
+// worker pool, each job orienting under its own requester's context.
 func (e *Engine) dispatch() {
 	for range e.kick {
 		time.Sleep(e.opts.BatchWindow)
@@ -708,10 +709,23 @@ func (e *Engine) dispatch() {
 			e.pending = e.pending[:rest]
 			e.batchMu.Unlock()
 
+			// Shed jobs whose deadline passed while queued — their
+			// requesters are gone, so running them wastes pool slots.
+			live := jobs[:0]
+			for _, j := range jobs {
+				if err := j.ctx.Err(); err != nil {
+					j.done <- core.BatchResult{Err: err}
+					continue
+				}
+				live = append(live, j)
+			}
+			if len(live) == 0 {
+				continue
+			}
 			e.metrics.Batches.Add(1)
-			e.metrics.BatchedItems.Add(uint64(n))
-			core.ParallelFor(n, e.opts.Workers, func(i int) {
-				jobs[i].done <- core.OrientItem(jobs[i].ctx, jobs[i].item)
+			e.metrics.BatchedItems.Add(uint64(len(live)))
+			core.ParallelFor(len(live), e.opts.Workers, func(i int) {
+				live[i].done <- core.OrientItem(live[i].ctx, live[i].item)
 			})
 		}
 	}

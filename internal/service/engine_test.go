@@ -288,9 +288,9 @@ func TestBatchedOrientHonorsRequestContext(t *testing.T) {
 	defer eng.Close()
 	pts := uniformPts(2000, 31)
 	item := core.BatchItem{Pts: pts, Tree: mst.Euclidean(pts), K: 1, Phi: 0, Algo: "tour"}
-	// The first poll (the 2-opt entry) passes; the loop's first interior
-	// checkpoint sees the expiry.
-	out := <-eng.orientAsync(&expiringCtx{Context: context.Background(), polls: 1}, item)
+	// The first two polls (the dispatcher's queue shed and the 2-opt
+	// entry) pass; the loop's first interior checkpoint sees the expiry.
+	out := <-eng.orientAsync(&expiringCtx{Context: context.Background(), polls: 2}, item)
 	if !errors.Is(out.Err, context.DeadlineExceeded) {
 		t.Fatalf("batched tour err = %v, want the request's deadline error", out.Err)
 	}
@@ -300,5 +300,27 @@ func TestBatchedOrientHonorsRequestContext(t *testing.T) {
 	}
 	if eng.Metrics().Batches.Load() == 0 {
 		t.Fatal("jobs bypassed the batch dispatcher")
+	}
+}
+
+// TestBatchedShedsExpiredQueuedJobs: a job whose requester's context is
+// already done when it leaves the batch queue gets the context error
+// without orienting — no pool slot, no batch, no batched item.
+func TestBatchedShedsExpiredQueuedJobs(t *testing.T) {
+	eng := NewEngine(Options{BatchWindow: 2 * time.Millisecond})
+	defer eng.Close()
+	pts := uniformPts(300, 32)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, algo := range []string{"cover", "tour"} {
+		item := core.BatchItem{Pts: pts, Tree: mst.Euclidean(pts), K: 2, Phi: core.Phi2Full, Algo: algo}
+		out := <-eng.orientAsync(ctx, item)
+		if !errors.Is(out.Err, context.Canceled) || out.Asg != nil {
+			t.Fatalf("%s: expired queued job: err %v, asg %v; want context.Canceled and no orientation", algo, out.Err, out.Asg)
+		}
+	}
+	m := eng.Metrics()
+	if b, n := m.Batches.Load(), m.BatchedItems.Load(); b != 0 || n != 0 {
+		t.Fatalf("expired jobs reached the pool: %d batches, %d items", b, n)
 	}
 }
